@@ -45,8 +45,8 @@ print(f"achieved volatility = {point.achieved_volatility:.6f} (binding: {point.b
 
 # boundary sweep at two discount factors over a shared budget grid
 grid = default_alpha_grid(system, x0, n_points=12)
-patient = sweep_capacity_region(system, grid, x0, threads=4)
-impatient = sweep_capacity_region(replace(system, gamma=0.9), grid, x0, threads=4)
+patient = sweep_capacity_region(system, grid, x0)
+impatient = sweep_capacity_region(replace(system, gamma=0.9), grid, x0)
 print(f"\n{'alpha':>12} {'eff (g=0.5)':>14} {'eff (g=0.9)':>14}")
 for p5, p9 in zip(patient.points, impatient.points):
     print(f"{p5.alpha:12.2f} {p5.efficiency_star:14.2f} {p9.efficiency_star:14.2f}")

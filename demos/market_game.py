@@ -56,7 +56,7 @@ for i, name in enumerate(("consumer", "producer")):
 
 print(f"\nsocial cost at equilibrium: {nash_social_cost(eq.game, eq, x0):.4f}")
 
-scan = social_cost_scan(spec, np.geomspace(0.1, 100.0, 9), x0, threads=4)
+scan = social_cost_scan(spec, np.geomspace(0.1, 100.0, 9), x0)
 print(f"\n{'r':>10} {'J^N':>12}")
 for r, jn in zip(scan.r, scan.J_N):
     print(f"{r:10.3f} {jn:12.4f}")

@@ -32,7 +32,7 @@ print("augmented state:", aug.labels)
 print("A =")
 print(np.round(aug.augmented.A, 4))
 
-table = volatility_vs_psi(market, [0.5, 1.0, 2.0, 4.0, 8.0], alpha=27.0, x0=x0, threads=4)
+table = volatility_vs_psi(market, [0.5, 1.0, 2.0, 4.0, 8.0], alpha=27.0, x0=x0)
 print(f"\nholding efficiency at the psi=0.5 budget-27 level:")
 print(f"{'psi_r':>8} {'alpha needed':>14} {'volatility':>12} {'tr(K Psi)':>12}")
 for p, a, v, tr in zip(table.psi_r, table.alpha_matched, table.volatility, table.trace_term):
@@ -47,7 +47,7 @@ scenario = DerScenario(
 deltas = np.round(np.arange(10) * 0.1, 1)
 cliff = der_cliff(
     scenario, deltas, np.array([1.0, 1.0, 2.0]),
-    SimConfig(seed=77, n_paths=4000, horizon=48), threads=4,
+    SimConfig(seed=77, n_paths=4000, horizon=48),
 )
 print(f"\nweather share of a fixed noise budget vs realized price volatility:")
 print(f"{'delta':>7} {'volatility':>12} {'+-':>8} {'excluded':>9}")

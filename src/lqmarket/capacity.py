@@ -18,7 +18,7 @@ from .errors import ConfigError, NumericalError, UnboundedDualError
 from .functionals import evaluate_policy
 from .model import LinearPolicy, LqrSystem, MixturePolicy
 from .riccati import solve_riccati, solve_riccati_lambda
-from .util import discounted_quadratic_value, run_indexed
+from .util import discounted_quadratic_value, increasing_grid
 
 LAMBDA_START = 1e-3
 LAMBDA_FLOOR = 1e-6
@@ -166,33 +166,28 @@ def sweep_capacity_region(
     alpha_grid,
     x0,
     tol: float = CAPACITY_TOL,
-    threads: int = 1,
 ) -> CapacityRegion:
     """Trace the efficiency boundary over a grid of volatility budgets.
 
     Individual budget failures are recorded and the sweep continues; the
     returned region keeps only the successful points, in grid order.
     """
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
-    if alpha_grid.ndim != 1 or alpha_grid.size < 2:
-        raise ConfigError("alpha grid must be a 1-d array with at least 2 points")
-    if np.any(alpha_grid <= 0.0) or np.any(np.diff(alpha_grid) <= 0.0):
-        raise ConfigError("alpha grid must be positive and strictly increasing")
+    alpha_grid = increasing_grid(alpha_grid, "alpha grid", 2)
+    if np.any(alpha_grid <= 0.0):
+        raise ConfigError("alpha grid must be positive")
 
-    def solve_one(alpha: float):
+    points = []
+    failures = []
+    for alpha in alpha_grid:
         try:
-            return solve_constrained(system, alpha, x0, tol=tol)
+            points.append(solve_constrained(system, alpha, x0, tol=tol))
         except NumericalError as err:
-            return (float(alpha), f"{type(err).__name__}: {err}")
-
-    results = run_indexed(solve_one, alpha_grid, threads=threads)
-    points = tuple(r for r in results if isinstance(r, CapacityPoint))
-    failures = tuple(r for r in results if not isinstance(r, CapacityPoint))
+            failures.append((float(alpha), f"{type(err).__name__}: {err}"))
     return CapacityRegion(
-        points=points,
+        points=tuple(points),
         gamma=system.gamma,
         x0=np.asarray(x0, dtype=float),
-        failures=failures,
+        failures=tuple(failures),
     )
 
 

@@ -2,7 +2,7 @@
 
 Usage:
     lqmarket run SCENARIO.yaml [--seed N] [--out-dir DIR]
-                               [--override KEY=VALUE ...] [--threads N]
+                               [--override KEY=VALUE ...]
     lqmarket experiments
 
 Scenario files are YAML mappings with an ``experiment`` name, a
@@ -53,7 +53,7 @@ from .renewables import (
 )
 from .riccati import DEFAULT_TOL, closed_loop, solve_riccati
 from .simulate import SimConfig, simulate
-from .util import run_indexed, spectral_radius
+from .util import spectral_radius
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def _pad(values, n: int) -> list:
 # experiment runners (each returns the list of files written)
 
 
-def run_riccati(config: dict, out_dir: Path, threads: int) -> list[Path]:
+def run_riccati(config: dict, out_dir: Path) -> list[Path]:
     system = system_from_config(config["system"])
     params = config["params"]
     tol = float(params.get("tol", DEFAULT_TOL))
@@ -285,7 +285,7 @@ def run_riccati(config: dict, out_dir: Path, threads: int) -> list[Path]:
     return [path]
 
 
-def run_concavity(config: dict, out_dir: Path, threads: int) -> list[Path]:
+def run_concavity(config: dict, out_dir: Path) -> list[Path]:
     system = system_from_config(config["system"])
     params = config["params"]
     r_grid = _grid_from_config(params.get("r_grid"), "r")
@@ -314,7 +314,7 @@ def run_concavity(config: dict, out_dir: Path, threads: int) -> list[Path]:
     return outputs
 
 
-def run_qalpha(config: dict, out_dir: Path, threads: int) -> list[Path]:
+def run_qalpha(config: dict, out_dir: Path) -> list[Path]:
     from .capacity import q_alpha
 
     system = system_from_config(config["system"])
@@ -326,12 +326,9 @@ def run_qalpha(config: dict, out_dir: Path, threads: int) -> list[Path]:
     x0 = _x0_from_params(params, system.d)
     tol = float(params.get("tol", 1e-10))
 
-    values = run_indexed(
-        lambda lam: q_alpha(system, alpha, float(lam), x0, tol=tol),
-        lam_grid,
-        threads=threads,
-    )
-    rows = list(zip(lam_grid, values))
+    rows = [
+        (lam, q_alpha(system, alpha, float(lam), x0, tol=tol)) for lam in lam_grid
+    ]
     path = write_csv(
         _stem(config, out_dir).with_suffix(".csv"), ("lambda", "q"), rows
     )
@@ -364,7 +361,7 @@ CAPACITY_HEADER = (
 )
 
 
-def run_capacity(config: dict, out_dir: Path, threads: int) -> list[Path]:
+def run_capacity(config: dict, out_dir: Path) -> list[Path]:
     system = system_from_config(config["system"])
     params = config["params"]
     x0 = _x0_from_params(params, system.d)
@@ -383,9 +380,7 @@ def run_capacity(config: dict, out_dir: Path, threads: int) -> list[Path]:
     regions = []
     for g in gammas:
         sys_g = replace(system, gamma=g)
-        regions.append(
-            sweep_capacity_region(sys_g, alpha_grid, x0, threads=threads)
-        )
+        regions.append(sweep_capacity_region(sys_g, alpha_grid, x0))
     # the first sweep's best efficiency anchors the normalized column
     reference_peak = float(np.max(regions[0].efficiencies))
     outputs = []
@@ -401,7 +396,7 @@ def run_capacity(config: dict, out_dir: Path, threads: int) -> list[Path]:
     return outputs
 
 
-def run_nash(config: dict, out_dir: Path, threads: int) -> list[Path]:
+def run_nash(config: dict, out_dir: Path) -> list[Path]:
     spec = market_from_config(config.get("market"))
     params = config["params"]
     x0 = _x0_from_params(params, spec.market_dim)
@@ -435,9 +430,7 @@ def run_nash(config: dict, out_dir: Path, threads: int) -> list[Path]:
     )
 
     if "r_grid" in params:
-        scan = social_cost_scan(
-            spec, _grid_from_config(params["r_grid"], "r"), x0, threads=threads
-        )
+        scan = social_cost_scan(spec, _grid_from_config(params["r_grid"], "r"), x0)
         n = scan.r.size
         d1 = _pad(scan.d1, n)
         d2 = _pad(scan.d2, n)
@@ -472,7 +465,7 @@ def run_nash(config: dict, out_dir: Path, threads: int) -> list[Path]:
     return outputs
 
 
-def run_renewables(config: dict, out_dir: Path, threads: int) -> list[Path]:
+def run_renewables(config: dict, out_dir: Path) -> list[Path]:
     base = _market_instance(config)
     params = config["params"]
     if "alpha" not in params:
@@ -492,7 +485,6 @@ def run_renewables(config: dict, out_dir: Path, threads: int) -> list[Path]:
         sigma_r=sigma_r,
         sigma_c=sigma_c,
         fixed_lambda=float(params.get("fixed_lambda", 1.0)),
-        threads=threads,
     )
     outputs.append(
         write_csv(
@@ -518,8 +510,7 @@ def run_renewables(config: dict, out_dir: Path, threads: int) -> list[Path]:
                 smallest, x0_grid, n_points=int(region_cfg.get("n_points", 40))
             )
         shrink = capacity_shrinkage(
-            base, psi_values, alpha_grid, x0,
-            sigma_r=sigma_r, sigma_c=sigma_c, threads=threads,
+            base, psi_values, alpha_grid, x0, sigma_r=sigma_r, sigma_c=sigma_c
         )
         # the largest-psi region's best efficiency anchors the normalization
         reference_peak = float(np.max(shrink.regions[-1].efficiencies))
@@ -537,7 +528,7 @@ def run_renewables(config: dict, out_dir: Path, threads: int) -> list[Path]:
     return outputs
 
 
-def run_der_cliff(config: dict, out_dir: Path, threads: int) -> list[Path]:
+def run_der_cliff(config: dict, out_dir: Path) -> list[Path]:
     base = _market_instance(config)
     params = config["params"]
     x0 = _x0_from_params(params, 3)
@@ -555,7 +546,7 @@ def run_der_cliff(config: dict, out_dir: Path, threads: int) -> list[Path]:
     delta_grid = _grid_from_config(
         params.get("delta_grid", [round(0.1 * k, 1) for k in range(10)]), "delta"
     )
-    table = der_cliff(scenario, delta_grid, x0, _sim_config(config), threads=threads)
+    table = der_cliff(scenario, delta_grid, x0, _sim_config(config))
     path = write_csv(
         _stem(config, out_dir).with_suffix(".csv"),
         ("delta", "volatility", "std_error", "n_paths_excluded"),
@@ -567,7 +558,7 @@ def run_der_cliff(config: dict, out_dir: Path, threads: int) -> list[Path]:
     return [path]
 
 
-def run_simulate(config: dict, out_dir: Path, threads: int) -> list[Path]:
+def run_simulate(config: dict, out_dir: Path) -> list[Path]:
     system = system_from_config(config["system"])
     params = config["params"]
     x0 = _x0_from_params(params, system.d)
@@ -715,8 +706,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE",
                        help="override a scenario entry (dotted path, repeatable)")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="worker cap for grid points (results are identical "
-                            "at any setting)")
+                       help="ignored; accepted for compatibility (sweeps run "
+                            "serially and reruns are byte-identical)")
     sub.add_parser("experiments", help="list experiments, inputs, and columns")
     return parser
 
@@ -734,11 +725,10 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = Path(args.out_dir)
-    threads = max(1, int(args.threads))
     exp = EXPERIMENTS[config["experiment"]]
     started = time.time()
     try:
-        outputs = exp.run(config, out_dir, threads)
+        outputs = exp.run(config, out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -753,7 +743,6 @@ def main(argv=None) -> int:
         "experiment": config["experiment"],
         "config": {k: v for k, v in config.items() if not k.startswith("_")},
         "seed": config.get("sim", {}).get("seed"),
-        "threads": threads,
         "outputs": [str(p) for p in outputs],
         "version": __version__,
         "wall_time_s": wall,

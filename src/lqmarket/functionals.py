@@ -34,6 +34,7 @@ from .util import (
     discounted_quadratic_value,
     divided_first_diffs,
     divided_second_diffs,
+    increasing_grid,
 )
 
 # Tight tolerance for grid scans: second-difference columns amplify
@@ -176,11 +177,9 @@ def concavity_scan(
     """
     if which not in SCAN_TARGETS:
         raise ConfigError(f"which must be one of {SCAN_TARGETS}, got {which!r}")
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.ndim != 1 or r_grid.size < 3:
-        raise ConfigError("r grid must be a 1-d array with at least 3 points")
-    if np.any(r_grid <= 0.0) or np.any(np.diff(r_grid) <= 0.0):
-        raise ConfigError("r grid must be positive and strictly increasing")
+    r_grid = increasing_grid(r_grid, "r grid", 3)
+    if np.any(r_grid <= 0.0):
+        raise ConfigError("r grid must be positive")
     values = np.empty_like(r_grid)
     for i, r in enumerate(r_grid):
         sys_r = system.with_r(float(r))

@@ -24,7 +24,7 @@ from .util import (
     discounted_quadratic_value,
     divided_first_diffs,
     divided_second_diffs,
-    run_indexed,
+    increasing_grid,
     spectral_radius,
     symmetrize,
 )
@@ -442,21 +442,15 @@ class SocialCostScan:
     d2: np.ndarray
 
 
-def social_cost_scan(
-    spec: MarketSpecPA, r_grid, x0, threads: int = 1
-) -> SocialCostScan:
+def social_cost_scan(spec: MarketSpecPA, r_grid, x0) -> SocialCostScan:
     """Equilibrium social cost over a grid of control penalties."""
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.ndim != 1 or r_grid.size < 3:
-        raise ConfigError("r grid must be a 1-d array with at least 3 points")
-    if np.any(r_grid <= 0.0) or np.any(np.diff(r_grid) <= 0.0):
-        raise ConfigError("r grid must be positive and strictly increasing")
-
-    def solve_one(r: float) -> float:
+    r_grid = increasing_grid(r_grid, "r grid", 3)
+    if np.any(r_grid <= 0.0):
+        raise ConfigError("r grid must be positive")
+    values = np.empty_like(r_grid)
+    for i, r in enumerate(r_grid):
         eq = solve_nash(spec.with_r(float(r)))
-        return nash_social_cost(eq.game, eq, x0)
-
-    values = np.array(run_indexed(solve_one, r_grid, threads=threads))
+        values[i] = nash_social_cost(eq.game, eq, x0)
     return SocialCostScan(
         r=r_grid,
         J_N=values,

@@ -22,8 +22,8 @@ from .capacity import CapacityRegion, solve_constrained, sweep_capacity_region
 from .errors import ConfigError, NumericalError
 from .model import LqrSystem, MarketInstance, NoiseSpec
 from .riccati import solve_riccati, solve_riccati_lambda
-from .simulate import SimBatch, SimConfig, simulate
-from .util import run_indexed
+from .simulate import SimConfig, simulate
+from .util import increasing_grid
 
 DEFAULT_SIGMA_R = 0.9
 DEFAULT_SIGMA_C = 0.01
@@ -105,7 +105,6 @@ def volatility_vs_psi(
     sigma_c: float = DEFAULT_SIGMA_C,
     fixed_lambda: float = 1.0,
     tol: float = 1e-10,
-    threads: int = 1,
 ) -> VolatilityPsiTable:
     """Volatility needed to hold one efficiency level as feed-in noise grows.
 
@@ -116,11 +115,9 @@ def volatility_vs_psi(
     carries tr(K_lambda Psi) at ``fixed_lambda``, which is affine in psi_r
     because the Riccati weight never sees the noise.
     """
-    psi_grid = np.asarray(psi_grid, dtype=float)
-    if psi_grid.ndim != 1 or psi_grid.size < 2:
-        raise ConfigError("psi grid must be a 1-d array with at least 2 points")
-    if np.any(psi_grid < 0.0) or np.any(np.diff(psi_grid) <= 0.0):
-        raise ConfigError("psi grid must be nonnegative and strictly increasing")
+    psi_grid = increasing_grid(psi_grid, "psi grid", 2)
+    if np.any(psi_grid < 0.0):
+        raise ConfigError("psi grid must be nonnegative")
     x0 = _lift_x0(x0)
 
     systems = [
@@ -132,8 +129,8 @@ def volatility_vs_psi(
 
     k_fixed = solve_riccati_lambda(systems[0], fixed_lambda, tol=tol).K
 
-    def match_one(idx: int):
-        system = systems[idx]
+    volatility, trace_term, alpha_matched = [], [], []
+    for idx, (psi, system) in enumerate(zip(psi_grid, systems)):
         if idx == 0:
             point = ref_point
         else:
@@ -156,20 +153,20 @@ def volatility_vs_psi(
                     if expansions >= 60:
                         raise NumericalError(
                             f"efficiency target {target:.6g} unreachable at "
-                            f"psi_r = {psi_grid[idx]:.6g}"
+                            f"psi_r = {psi:.6g}"
                         )
                 a_star = brentq(gap, lo, hi, rtol=1e-6)
                 point = solve_constrained(system, a_star, x0, tol=tol)
-        trace = float(np.trace(k_fixed @ system.noise.covariance))
-        return point.achieved_volatility, trace, point.alpha
+        volatility.append(point.achieved_volatility)
+        trace_term.append(float(np.trace(k_fixed @ system.noise.covariance)))
+        alpha_matched.append(point.alpha)
 
-    rows = run_indexed(match_one, range(len(systems)), threads=threads)
     return VolatilityPsiTable(
         psi_r=psi_grid,
-        volatility=np.array([row[0] for row in rows]),
-        trace_term=np.array([row[1] for row in rows]),
+        volatility=np.array(volatility),
+        trace_term=np.array(trace_term),
         efficiency_target=target,
-        alpha_matched=np.array([row[2] for row in rows]),
+        alpha_matched=np.array(alpha_matched),
     )
 
 
@@ -198,7 +195,6 @@ def capacity_shrinkage(
     sigma_r: float = DEFAULT_SIGMA_R,
     sigma_c: float = DEFAULT_SIGMA_C,
     tol: float = 1e-10,
-    threads: int = 1,
 ) -> ShrinkageResult:
     """Efficiency boundaries over a shared budget grid as psi_r grows.
 
@@ -206,18 +202,12 @@ def capacity_shrinkage(
     below every smaller-psi boundary pointwise.  The containment report
     records the worst violation for each adjacent pair.
     """
-    psi_list = np.asarray(psi_list, dtype=float)
-    if psi_list.ndim != 1 or psi_list.size < 2:
-        raise ConfigError("psi list must contain at least 2 values")
-    if np.any(np.diff(psi_list) <= 0.0):
-        raise ConfigError("psi list must be strictly increasing")
+    psi_list = increasing_grid(psi_list, "psi list", 2)
     x0 = _lift_x0(x0)
     regions = []
     for p in psi_list:
         system = build_renewable_system(base, float(p), sigma_r, sigma_c).augmented
-        regions.append(
-            sweep_capacity_region(system, alpha_grid, x0, tol=tol, threads=threads)
-        )
+        regions.append(sweep_capacity_region(system, alpha_grid, x0, tol=tol))
     containment = []
     for i in range(len(psi_list) - 1):
         small, big = regions[i], regions[i + 1]
@@ -358,15 +348,14 @@ def der_cliff(
     delta_grid,
     x0,
     config: SimConfig,
-    threads: int = 1,
 ) -> DerCliffTable:
     """Realized price volatility as weather noise displaces supply noise.
 
     Each delta point reuses the scenario with the noise split re-derived
     at constant total, simulates with streams keyed by (seed, delta
     index, path index), and reports the Monte Carlo volatility with its
-    standard error.  Identical inputs give bit-identical tables at any
-    thread count.
+    standard error.  Identical inputs give bit-identical tables on every
+    rerun.
 
     The quadratic price kick makes large states absorbing: once the
     price escapes the stable basin it grows without bound.  Paths are
@@ -374,23 +363,18 @@ def der_cliff(
     passes DER_STATE_BOUND (or config.state_bound if tighter); the
     per-delta exclusion counts are reported in the table.
     """
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    if delta_grid.ndim != 1 or delta_grid.size < 2:
-        raise ConfigError("delta grid must be a 1-d array with at least 2 points")
+    delta_grid = increasing_grid(delta_grid, "delta grid", 2)
     if np.any(delta_grid < 0.0) or np.any(delta_grid >= 1.0):
         raise ConfigError("delta values must lie in [0, 1)")
-    if np.any(np.diff(delta_grid) <= 0.0):
-        raise ConfigError("delta grid must be strictly increasing")
     if config.horizon is None:
         raise ConfigError("der_cliff requires an explicit horizon")
     if config.state_bound > DER_STATE_BOUND:
         config = replace(config, state_bound=DER_STATE_BOUND)
 
-    def run_one(idx: int) -> SimBatch:
-        stepper = DerStepper(scenario.with_delta(float(delta_grid[idx])))
-        return simulate(stepper, None, x0, config, namespace=idx)
-
-    batches = run_indexed(run_one, range(delta_grid.size), threads=threads)
+    batches = []
+    for idx, delta in enumerate(delta_grid):
+        stepper = DerStepper(scenario.with_delta(float(delta)))
+        batches.append(simulate(stepper, None, x0, config, namespace=idx))
     return DerCliffTable(
         delta=delta_grid,
         volatility=np.array([b.volatility.mean for b in batches]),

@@ -7,12 +7,14 @@ linear recursion.  Both report iteration counts and a final residual.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InstabilityError, SolverDivergenceError
 from .model import LinearPolicy, LqrSystem, check_controllability, check_observability
+from .model import _matrix_rank
 from .util import spectral_radius, symmetrize
 
 DEFAULT_TOL = 1e-10
@@ -59,6 +61,15 @@ def closed_loop(A, b, gain) -> np.ndarray:
     return A + np.outer(b, np.asarray(gain, dtype=float))
 
 
+def _diverged(what: str, last_iterate, residual, iterations: int):
+    return SolverDivergenceError(
+        f"{what} iterate {iterations} is not finite (residual {residual:.6e})",
+        last_iterate=last_iterate,
+        residual=float(residual),
+        iterations=iterations,
+    )
+
+
 def solve_riccati(
     system: LqrSystem,
     tol: float = DEFAULT_TOL,
@@ -66,9 +77,10 @@ def solve_riccati(
 ) -> RiccatiSolution:
     """Solve the discounted Riccati equation by value iteration from K = Q.
 
-    Stops when ||K_next - K||_F <= tol * (1 + ||K||_F).  A structurally
-    deficient system is not rejected; it is flagged in ``warnings`` and
-    the iteration proceeds (it may still converge, or hit the budget).
+    Stops when ||K_next - K||_F <= tol * (1 + ||K||_F).  An uncontrollable
+    system is flagged in ``warnings`` and solved as long as it passes the
+    discounted stabilizability test; otherwise InstabilityError is raised.
+    A non-finite iterate raises SolverDivergenceError at once.
     """
     A, b, Q, r, gamma = system.A, system.b, system.Q, system.r, system.gamma
     warnings = []
@@ -77,6 +89,15 @@ def solve_riccati(
         warnings.append(
             f"system is not controllable (rank {ctrb.rank} < {system.d})"
         )
+        # discounted PBH test: a mode the discount does not damp must be
+        # controllable, or no policy keeps the discounted cost finite
+        for mu in np.linalg.eigvals(A):
+            pbh = np.column_stack([A - mu * np.eye(system.d), b])
+            if math.sqrt(gamma) * abs(mu) >= 1.0 and _matrix_rank(pbh) < system.d:
+                raise InstabilityError(
+                    f"mode {mu:.6g} is neither damped by gamma = {gamma} nor "
+                    "controllable; the system is not stabilizable"
+                )
     obs = check_observability(system)
     if not obs.observable:
         warnings.append("cost does not observe every coordinate")
@@ -85,12 +106,16 @@ def solve_riccati(
     for iteration in range(1, max_iter + 1):
         K_next = riccati_step(K, A, b, Q, r, gamma)
         delta = np.linalg.norm(K_next - K, "fro")
+        if not math.isfinite(delta):
+            raise _diverged("Riccati", K, delta, iteration)
         bound = tol * (1.0 + np.linalg.norm(K, "fro"))
         K = K_next
         if delta <= bound:
             residual = float(
                 np.linalg.norm(riccati_step(K, A, b, Q, r, gamma) - K, "fro")
             )
+            if not (math.isfinite(bound) and math.isfinite(residual)):
+                raise _diverged("Riccati", K, residual, iteration)
             gain = LinearPolicy(optimal_gain(K, A, b, r, gamma))
             return RiccatiSolution(
                 K=K,
@@ -147,12 +172,16 @@ def solve_discounted_lyapunov(
     for iteration in range(1, max_iter + 1):
         W_next = symmetrize(C + gamma * (F.T @ W @ F))
         delta = np.linalg.norm(W_next - W, "fro")
+        if not math.isfinite(delta):
+            raise _diverged("Lyapunov", W, delta, iteration)
         bound = tol * (1.0 + np.linalg.norm(W, "fro"))
         W = W_next
         if delta <= bound:
             residual = float(
                 np.linalg.norm(C + gamma * (F.T @ W @ F) - W, "fro")
             )
+            if not (math.isfinite(bound) and math.isfinite(residual)):
+                raise _diverged("Lyapunov", W, residual, iteration)
             return LyapunovSolution(S=W, iterations=iteration, residual=residual)
     residual = float(np.linalg.norm(C + gamma * (F.T @ W @ F) - W, "fro"))
     raise SolverDivergenceError(

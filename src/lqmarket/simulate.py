@@ -2,8 +2,9 @@
 
 Every path draws from its own counter-based stream: path i of a batch
 uses Philox keyed by (seed, namespace << 32 | i).  Estimates therefore
-never depend on scheduling, batch splitting, or thread count, and a
-longer horizon extends a path without changing its earlier draws.
+never depend on batch splitting, reruns on identical inputs are
+bit-identical, and a longer horizon extends a path without changing its
+earlier draws.
 
 The engine accepts either an :class:`~lqmarket.model.LqrSystem` with a
 linear (or mixture) policy, or any object implementing the small stepper

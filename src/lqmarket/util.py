@@ -1,9 +1,9 @@
 """Small shared numerics helpers."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
+
+from .errors import ConfigError
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -59,14 +59,14 @@ def chord_excess(x, v) -> np.ndarray:
     return chord - v[1:-1]
 
 
-def run_indexed(fn, items, threads: int = 1) -> list:
-    """Apply ``fn`` to each item, returning results in input order.
-
-    Output is identical for any thread count: tasks are pure and the
-    reduction happens strictly in index order.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def increasing_grid(values, what: str, min_points: int) -> np.ndarray:
+    """``values`` as a 1-d, strictly increasing float array of at least
+    ``min_points`` entries, else ConfigError; callers add their range rule."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size < min_points:
+        raise ConfigError(
+            f"{what} must be a 1-d array with at least {min_points} points"
+        )
+    if np.any(np.diff(grid) <= 0.0):
+        raise ConfigError(f"{what} must be strictly increasing")
+    return grid

@@ -132,8 +132,8 @@ def test_c04_capacity_boundaries_dominate_and_budgets_bind():
     sys09 = replace(sys05, gamma=0.9)
     x0 = np.array(REF_X0)
     grid = default_alpha_grid(sys05, x0, n_points=40)
-    reg05 = sweep_capacity_region(sys05, grid, x0, threads=4)
-    reg09 = sweep_capacity_region(sys09, grid, x0, threads=4)
+    reg05 = sweep_capacity_region(sys05, grid, x0)
+    reg09 = sweep_capacity_region(sys09, grid, x0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
 
@@ -201,7 +201,7 @@ def test_c07_equilibrium_certified_and_social_cost_concave_in_r():
     spec = make_two_player_market()
     x0 = np.array(GAME_X0)
     eq = solve_nash(spec)
-    scan = social_cost_scan(spec, np.geomspace(0.1, 100.0, 15), x0, threads=4)
+    scan = social_cost_scan(spec, np.geomspace(0.1, 100.0, 15), x0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
 
@@ -222,11 +222,9 @@ def test_c08_feed_in_noise_raises_matched_volatility_and_shrinks_regions():
     t0 = time.perf_counter()
     market = make_ref_market()
     x0 = np.array(REF_X0)
-    table = volatility_vs_psi(
-        market, [0.5, 1.0, 2.0, 4.0, 8.0], alpha=27.0, x0=x0, threads=4
-    )
+    table = volatility_vs_psi(market, [0.5, 1.0, 2.0, 4.0, 8.0], alpha=27.0, x0=x0)
     shrink = capacity_shrinkage(
-        market, [0.5, 8.0], np.geomspace(10.0, 2000.0, 12), x0, threads=4
+        market, [0.5, 8.0], np.geomspace(10.0, 2000.0, 12), x0
     )
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
@@ -255,8 +253,8 @@ def test_c09_weather_noise_cliff_steepens_and_reruns_bitwise():
     config = SimConfig(seed=77, n_paths=20_000, horizon=48)
     deltas = np.round(np.arange(10) * 0.1, 1)
     x0 = np.array([1.0, 1.0, 2.0])
-    table = der_cliff(scenario, deltas, x0, config, threads=4)
-    again = der_cliff(scenario, deltas, x0, config, threads=1)
+    table = der_cliff(scenario, deltas, x0, config)
+    again = der_cliff(scenario, deltas, x0, config)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
 

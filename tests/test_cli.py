@@ -231,7 +231,7 @@ def test_riccati_run_writes_solution_table(tmp_path, capsys):
     manifest = json.loads((tmp_path / "riccati_base.manifest.json").read_text())
     assert manifest["experiment"] == "riccati"
     assert manifest["outputs"] == [str(tmp_path / "riccati_base.csv")]
-    assert manifest["threads"] == 1
+    assert "threads" not in manifest
     assert "wall_time_s" in manifest and "timestamp" in manifest
 
 

@@ -17,7 +17,6 @@ from lqmarket.simulate import noise_factor
 from lqmarket.util import (
     chord_excess,
     divided_second_diffs,
-    run_indexed,
     symmetrize,
 )
 from conftest import make_ref_market
@@ -131,10 +130,3 @@ def test_format_cell_round_trips_any_finite_float():
     )
     for x in samples:
         assert float(format_cell(float(x))) == float(x)
-
-
-def test_indexed_map_is_order_preserving_at_any_thread_count():
-    items = list(range(23))
-    want = [i * i for i in items]
-    for threads in (1, 2, 7, 32):
-        assert run_indexed(lambda i: i * i, items, threads=threads) == want

@@ -140,6 +140,39 @@ def test_uncontrollable_system_is_flagged_not_rejected():
     np.testing.assert_allclose(sol.K[1, 1], 1.0 / (1.0 - 0.9 * 0.25), rtol=1e-9)
 
 
+def _uncontrolled_first_mode(a):
+    return LqrSystem(
+        A=np.diag([a, 0.5]), b=np.array([0.0, 1.0]), noise=NoiseSpec.none(2),
+        Q=np.eye(2), r=1.0, gamma=0.9,
+    )
+
+
+def test_unstabilizable_system_is_rejected():
+    # sqrt(0.9) * 1.5 > 1 and the control never reaches the first mode
+    with pytest.raises(InstabilityError):
+        solve_riccati(_uncontrolled_first_mode(1.5))
+
+
+def test_uncontrollable_but_stabilizable_mode_converges():
+    # sqrt(0.9) * 1.05 < 1: the free mode's discounted sum still converges
+    sol = solve_riccati(_uncontrolled_first_mode(1.05))
+    assert any("controllable" in w for w in sol.warnings)
+    np.testing.assert_allclose(sol.K[0, 0], 1.0 / (1.0 - 0.9 * 1.05**2), rtol=1e-6)
+    assert abs(sol.K[0, 0] - 129.03) < 0.01
+
+
+def test_non_finite_iterate_fails_at_once():
+    system = LqrSystem(
+        A=np.array([[1e160]]), b=np.array([1.0]), noise=NoiseSpec.none(1),
+        Q=np.eye(1), r=1.0, gamma=0.9,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverDivergenceError) as info:
+            solve_riccati(system)
+    assert info.value.iterations < 10
+    assert not np.isfinite(info.value.residual)
+
+
 def test_riccati_weight_solves_lambda_family(ref_system):
     # spot-check a few penalties: package solve vs scipy's DARE
     for lam in (0.01, 1.0, 250.0):
