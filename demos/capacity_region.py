@@ -1,9 +1,9 @@
 """Trade volatility for efficiency: dual pricing and the capacity boundary.
 
-Profiles the dual objective at one budget, prices the budget with the
-golden-section maximizer, sweeps the whole efficiency boundary at two
-discount factors, and shows that single-draw policy mixtures land on the
-chord between boundary points.
+Profiles the dual objective at one budget, prices the budget at the
+envelope root V(lambda) = alpha, where the dual's slope vanishes, sweeps
+the whole efficiency boundary at two discount factors, and shows that
+single-draw policy mixtures land on the chord between boundary points.
 """
 from dataclasses import replace
 

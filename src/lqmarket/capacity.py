@@ -5,7 +5,9 @@ one-dimensional concave maximization: q_alpha(lam) is the optimal cost of
 the system with control penalty lam, minus lam * alpha.  Its supremum
 L*(alpha) equals minus the constrained efficiency, and the maximizing
 lam* prices the constraint: where it is interior, the optimal policy's
-volatility meets the budget.
+volatility meets the budget.  By the envelope theorem the slope of
+q_alpha is V(lam) - alpha, with V the volatility of the lam-optimal
+policy, so lam* is found as the root of V(lam) = alpha.
 """
 from __future__ import annotations
 
@@ -13,21 +15,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import ConfigError, NumericalError, UnboundedDualError
-from .functionals import evaluate_policy
+from .functionals import evaluate_policy, policy_volatility
 from .model import LinearPolicy, LqrSystem, MixturePolicy
 from .riccati import solve_riccati, solve_riccati_lambda
 from .util import discounted_quadratic_value, increasing_grid
 
 LAMBDA_START = 1e-3
 LAMBDA_FLOOR = 1e-6
-MAX_DOUBLINGS = 60
-GOLDEN_REL_TOL = 1e-8
+LAMBDA_CEILING = 1e16
+# brentq tolerance on log lam
+ROOT_XTOL = 1e-10
 # lam* this close to the floor is reported as a non-binding constraint.
 NONBINDING_FACTOR = 2.0
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 CAPACITY_TOL = 1e-10
 
@@ -59,13 +61,18 @@ class CapacityRegion:
         return np.array([p.efficiency_star for p in self.points])
 
 
+def _budget(alpha) -> float:
+    alpha = float(alpha)
+    if not (alpha > 0.0):
+        raise ConfigError(f"volatility budget alpha must be positive, got {alpha}")
+    return alpha
+
+
 def q_alpha(
     system: LqrSystem, alpha: float, lam: float, x0, tol: float = CAPACITY_TOL
 ) -> float:
     """Dual objective at price lam for volatility budget alpha."""
-    alpha = float(alpha)
-    if not (alpha > 0.0):
-        raise ConfigError(f"volatility budget alpha must be positive, got {alpha}")
+    alpha = _budget(alpha)
     sol = solve_riccati_lambda(system, lam, tol=tol)
     value = discounted_quadratic_value(
         sol.K, x0, system.gamma, system.noise.covariance
@@ -73,57 +80,37 @@ def q_alpha(
     return value - lam * alpha
 
 
-def _golden_max(f, lo: float, hi: float, rel_tol: float = GOLDEN_REL_TOL):
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b)) + 1e-18:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def maximize_dual(system: LqrSystem, alpha: float, x0, tol: float = CAPACITY_TOL):
-    """Locate sup over lam > 0 of q_alpha by bracketing + golden section.
+    """Locate sup over lam > 0 of q_alpha as the root of V(lam) = alpha.
 
-    Expands a geometric ladder upward from LAMBDA_START while the dual
-    keeps improving; more than MAX_DOUBLINGS expansions means the dual is
-    unbounded (the budget cannot be met).  The search never goes below
-    LAMBDA_FLOOR, so a maximum there signals a non-binding constraint.
+    By the envelope theorem dq_alpha/dlam = V(lam) - alpha, where V(lam)
+    is the volatility of the lam-optimal policy.  V is nonincreasing, so
+    the maximizer is where V crosses the budget.  A budget already met at
+    LAMBDA_FLOOR is non-binding and priced at the floor.  Otherwise decades
+    upward from LAMBDA_START bracket the crossing and brentq finds it in
+    log lam; a budget still exceeded at LAMBDA_CEILING is unreachable.
     """
+    alpha = _budget(alpha)
 
-    def q(lam: float) -> float:
-        return q_alpha(system, alpha, lam, x0, tol=tol)
+    def excess(s: float) -> float:
+        gain = solve_riccati_lambda(system, math.exp(s), tol=tol).gain
+        return policy_volatility(system, gain, x0, tol=tol) - alpha
 
-    lo, mid = LAMBDA_FLOOR, LAMBDA_START
-    q_lo, q_mid = q(lo), q(mid)
-    if q_lo >= q_mid:
-        hi = mid
-    else:
-        hi = 2.0 * mid
-        q_hi = q(hi)
-        doublings = 0
-        while q_hi > q_mid:
-            lo = mid
-            mid, q_mid = hi, q_hi
-            hi *= 2.0
-            q_hi = q(hi)
-            doublings += 1
-            if doublings >= MAX_DOUBLINGS:
+    lam_star = LAMBDA_FLOOR
+    if excess(math.log(lam_star)) > 0.0:
+        lo, hi = LAMBDA_FLOOR, LAMBDA_START
+        while excess(math.log(hi)) > 0.0:
+            if hi >= LAMBDA_CEILING:
                 raise UnboundedDualError(
-                    f"dual for alpha = {alpha:.6g} still improving at "
-                    f"lambda = {hi:.3e}; volatility budget unreachable"
+                    f"volatility at lambda = {hi:.3e} still exceeds alpha = "
+                    f"{alpha:.6g}; volatility budget unreachable"
                 )
-    return _golden_max(q, lo, hi)
+            lo, hi = hi, 10.0 * hi
+        # brentq re-evaluates excess at these same points, so the signs the
+        # ladder saw hold even when V(hi) meets alpha to the last digit
+        s_star = brentq(excess, math.log(lo), math.log(hi), xtol=ROOT_XTOL)
+        lam_star = math.exp(s_star)
+    return lam_star, q_alpha(system, alpha, lam_star, x0, tol=tol)
 
 
 def solve_constrained(

@@ -37,7 +37,11 @@ class InstabilityError(NumericalError):
 
 
 class UnboundedDualError(NumericalError):
-    """Dual maximization kept improving after the bracket-expansion budget."""
+    """The policy volatility still exceeds the budget at the price ceiling.
+
+    The dual's slope V(lam) - alpha is still positive there, so the dual
+    keeps improving and the budget is reported as unreachable.
+    """
 
 
 class DegenerateMarketError(NumericalError):

@@ -73,6 +73,24 @@ def optimal_cost(
     )
 
 
+def policy_volatility(
+    system: LqrSystem,
+    policy: LinearPolicy,
+    x0,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> float:
+    """Discounted control energy of a fixed policy: one solve with C = g g'."""
+    g = policy.gain
+    w_vol = solve_discounted_lyapunov(
+        closed_loop(system.A, system.b, g), np.outer(g, g), system.gamma,
+        tol=tol, max_iter=max_iter,
+    )
+    return discounted_quadratic_value(
+        w_vol.S, x0, system.gamma, system.noise.covariance
+    )
+
+
 def evaluate_policy(
     system: LqrSystem,
     policy: LinearPolicy,
@@ -88,13 +106,12 @@ def evaluate_policy(
     w_cost = solve_discounted_lyapunov(
         F, system.Q + system.r * gg, system.gamma, tol=tol, max_iter=max_iter
     )
-    w_vol = solve_discounted_lyapunov(F, gg, system.gamma, tol=tol, max_iter=max_iter)
     w_eff = solve_discounted_lyapunov(
         F, system.Q, system.gamma, tol=tol, max_iter=max_iter
     )
     return FunctionalReport(
         cost=discounted_quadratic_value(w_cost.S, x0, system.gamma, cov),
-        volatility=discounted_quadratic_value(w_vol.S, x0, system.gamma, cov),
+        volatility=policy_volatility(system, policy, x0, tol=tol, max_iter=max_iter),
         efficiency=-discounted_quadratic_value(w_eff.S, x0, system.gamma, cov),
         x0=np.asarray(x0, dtype=float),
         method="closed_form",

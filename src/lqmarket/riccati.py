@@ -103,27 +103,29 @@ def solve_riccati(
         warnings.append("cost does not observe every coordinate")
 
     K = Q.copy()
-    for iteration in range(1, max_iter + 1):
-        K_next = riccati_step(K, A, b, Q, r, gamma)
-        delta = np.linalg.norm(K_next - K, "fro")
-        if not math.isfinite(delta):
-            raise _diverged("Riccati", K, delta, iteration)
-        bound = tol * (1.0 + np.linalg.norm(K, "fro"))
-        K = K_next
-        if delta <= bound:
-            residual = float(
-                np.linalg.norm(riccati_step(K, A, b, Q, r, gamma) - K, "fro")
-            )
-            if not (math.isfinite(bound) and math.isfinite(residual)):
-                raise _diverged("Riccati", K, residual, iteration)
-            gain = LinearPolicy(optimal_gain(K, A, b, r, gamma))
-            return RiccatiSolution(
-                K=K,
-                gain=gain,
-                iterations=iteration,
-                residual=residual,
-                warnings=tuple(warnings),
-            )
+    # overflow turns into inf/nan, which the finite checks raise as errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, max_iter + 1):
+            K_next = riccati_step(K, A, b, Q, r, gamma)
+            delta = np.linalg.norm(K_next - K, "fro")
+            if not math.isfinite(delta):
+                raise _diverged("Riccati", K, delta, iteration)
+            bound = tol * (1.0 + np.linalg.norm(K, "fro"))
+            K = K_next
+            if delta <= bound:
+                residual = float(
+                    np.linalg.norm(riccati_step(K, A, b, Q, r, gamma) - K, "fro")
+                )
+                if not (math.isfinite(bound) and math.isfinite(residual)):
+                    raise _diverged("Riccati", K, residual, iteration)
+                gain = LinearPolicy(optimal_gain(K, A, b, r, gamma))
+                return RiccatiSolution(
+                    K=K,
+                    gain=gain,
+                    iterations=iteration,
+                    residual=residual,
+                    warnings=tuple(warnings),
+                )
     residual = float(np.linalg.norm(riccati_step(K, A, b, Q, r, gamma) - K, "fro"))
     raise SolverDivergenceError(
         f"Riccati iteration did not converge in {max_iter} iterations "
@@ -169,20 +171,21 @@ def solve_discounted_lyapunov(
             f"gamma * rho(F)^2 = {contraction:.6f} >= 1; discounted sum diverges"
         )
     W = np.zeros_like(C) if w0 is None else symmetrize(np.asarray(w0, dtype=float))
-    for iteration in range(1, max_iter + 1):
-        W_next = symmetrize(C + gamma * (F.T @ W @ F))
-        delta = np.linalg.norm(W_next - W, "fro")
-        if not math.isfinite(delta):
-            raise _diverged("Lyapunov", W, delta, iteration)
-        bound = tol * (1.0 + np.linalg.norm(W, "fro"))
-        W = W_next
-        if delta <= bound:
-            residual = float(
-                np.linalg.norm(C + gamma * (F.T @ W @ F) - W, "fro")
-            )
-            if not (math.isfinite(bound) and math.isfinite(residual)):
-                raise _diverged("Lyapunov", W, residual, iteration)
-            return LyapunovSolution(S=W, iterations=iteration, residual=residual)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, max_iter + 1):
+            W_next = symmetrize(C + gamma * (F.T @ W @ F))
+            delta = np.linalg.norm(W_next - W, "fro")
+            if not math.isfinite(delta):
+                raise _diverged("Lyapunov", W, delta, iteration)
+            bound = tol * (1.0 + np.linalg.norm(W, "fro"))
+            W = W_next
+            if delta <= bound:
+                residual = float(
+                    np.linalg.norm(C + gamma * (F.T @ W @ F) - W, "fro")
+                )
+                if not (math.isfinite(bound) and math.isfinite(residual)):
+                    raise _diverged("Lyapunov", W, residual, iteration)
+                return LyapunovSolution(S=W, iterations=iteration, residual=residual)
     residual = float(np.linalg.norm(C + gamma * (F.T @ W @ F) - W, "fro"))
     raise SolverDivergenceError(
         f"Lyapunov iteration did not converge in {max_iter} iterations "

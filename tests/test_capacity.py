@@ -1,7 +1,10 @@
 """Volatility-budget duality: profiles, constrained solves, sweeps, mixtures."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import lqmarket.riccati
 from lqmarket import (
     CapacityPoint,
     ConfigError,
@@ -20,6 +23,7 @@ from lqmarket import (
     sweep_capacity_region,
 )
 from lqmarket.capacity import LAMBDA_FLOOR
+from lqmarket.functionals import policy_volatility
 from lqmarket.util import chord_excess
 from conftest import make_ref_market
 from oracles import grid_maximize
@@ -145,6 +149,23 @@ def test_unreachable_budget_raises():
         solve_constrained(system, 1e-6, np.array([10.0]))
 
 
+def test_budget_met_exactly_at_a_bracket_decade():
+    # V(lam) - alpha vanishes to rounding at a point of the decade ladder;
+    # the bracket must keep its sign change when the root search starts
+    system = LqrSystem(
+        A=np.array([[0.55078125, -0.64413793], [-0.78940292, 0.0]]),
+        b=np.array([0.29589196, 0.67420493]),
+        noise=NoiseSpec.diagonal([1.0, 1.0]),
+        Q=np.array([[0.4589302, -0.49781431], [-0.49781431, 1.1]]),
+        r=1.0, gamma=0.8984375,
+    )
+    x0 = np.zeros(2)
+    for lam in (0.1, 1.0, 10.0):
+        alpha = policy_volatility(system, solve_riccati_lambda(system, lam).gain, x0)
+        lam_star, _ = maximize_dual(system, alpha, x0)
+        assert lam_star == pytest.approx(lam, rel=1e-6)
+
+
 def test_default_grid_brackets_unconstrained_volatility(ref, x0_ref):
     grid = default_alpha_grid(ref, x0_ref, n_points=10)
     assert grid.size == 10
@@ -209,3 +230,22 @@ def test_capacity_point_fields(ref, x0_ref):
     assert point.L_star == pytest.approx(
         q_alpha(ref, ALPHA_REF, point.lambda_star, x0_ref), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.9])
+def test_sweep_solve_count_per_point(ref, x0_ref, monkeypatch, gamma):
+    # one budget is a floor check, a few decades of bracket, a brentq root
+    # of V(lam) = alpha and two solves at lam*: about ten Riccati solves
+    system = replace(ref, gamma=gamma)
+    grid = default_alpha_grid(system, x0_ref, n_points=10)
+    solve = lqmarket.riccati.solve_riccati
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lqmarket.riccati, "solve_riccati", counted)
+    region = sweep_capacity_region(system, grid, x0_ref)
+    assert len(region.points) == 10
+    assert len(calls) <= 15 * 10

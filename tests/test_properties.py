@@ -3,15 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lqmarket import (
     LqrSystem,
     NoiseSpec,
     derive_horizon,
+    maximize_dual,
     q_alpha,
+    solve_constrained,
     solve_discounted_lyapunov,
     solve_riccati,
+    solve_riccati_lambda,
 )
+from lqmarket.functionals import policy_volatility
 from lqmarket.output import format_cell
 from lqmarket.simulate import noise_factor
 from lqmarket.util import (
@@ -20,6 +27,7 @@ from lqmarket.util import (
     symmetrize,
 )
 from conftest import make_ref_market
+from oracles import dare_weight, grid_maximize
 
 
 def test_derived_horizon_is_always_minimal():
@@ -130,3 +138,92 @@ def test_format_cell_round_trips_any_finite_float():
     )
     for x in samples:
         assert float(format_cell(float(x))) == float(x)
+
+
+# Hypothesis cases: random controllable (hence stabilizable) 2x2 and 3x3
+# systems with positive definite state cost and nonzero noise.  Examples
+# are derandomized and no example database is kept, so no run depends on
+# an earlier one.
+RANDOM_SYSTEMS = settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def stabilizable_systems(draw):
+    d = draw(st.integers(2, 3))
+    unit = st.floats(-1.0, 1.0)
+    A = draw(arrays(float, (d, d), elements=unit))
+    b = draw(arrays(float, d, elements=unit))
+    assume(np.linalg.norm(b) >= 0.5)
+    # well inside the controllable set, so value iteration converges briskly
+    ctrb = np.column_stack([np.linalg.matrix_power(A, k) @ b for k in range(d)])
+    assume(np.linalg.svd(ctrb, compute_uv=False)[-1] >= 0.05)
+    G = draw(arrays(float, (d, d), elements=unit))
+    noise = draw(arrays(float, d, elements=st.floats(0.1, 2.0)))
+    system = LqrSystem(
+        A=A,
+        b=b,
+        noise=NoiseSpec.diagonal(noise),
+        Q=G @ G.T + 0.1 * np.eye(d),
+        r=10.0 ** draw(st.floats(-2.0, 2.0)),
+        gamma=draw(st.floats(0.3, 0.9)),
+    )
+    x0 = draw(arrays(float, d, elements=st.floats(-5.0, 5.0)))
+    return system, x0
+
+
+def price_volatility(system, lam, x0):
+    """V(lam): volatility of the lam-optimal policy."""
+    return policy_volatility(system, solve_riccati_lambda(system, lam).gain, x0)
+
+
+@RANDOM_SYSTEMS
+@given(stabilizable_systems())
+def test_riccati_weight_matches_scipy_dare(case):
+    system, _ = case
+    K = solve_riccati(system).K
+    K_oracle = dare_weight(system.A, system.b, system.Q, system.r, system.gamma)
+    np.testing.assert_allclose(
+        K, K_oracle, rtol=1e-7, atol=1e-9 * np.linalg.norm(K_oracle)
+    )
+
+
+@RANDOM_SYSTEMS
+@given(stabilizable_systems())
+def test_volatility_is_nonincreasing_in_the_price(case):
+    system, x0 = case
+    v = np.array([price_volatility(system, lam, x0)
+                  for lam in np.geomspace(1e-3, 1e3, 13)])
+    assert np.all(np.diff(v) <= 1e-8 * v[0])
+
+
+@RANDOM_SYSTEMS
+@given(stabilizable_systems(), st.floats(-2.0, 2.0))
+def test_envelope_root_is_the_dual_maximum(case, log_lam):
+    # a budget met exactly at a known price, where V still falls, puts a
+    # binding lam* inside the grid (V can be flat: some systems never use
+    # the control whatever its price)
+    system, x0 = case
+    lam = 10.0**log_lam
+    alpha = price_volatility(system, lam, x0)
+    assume(price_volatility(system, lam / 100.0, x0) > 1.01 * alpha)
+    lam_star, L_star = maximize_dual(system, alpha, x0)
+
+    def q(price):
+        return q_alpha(system, alpha, price, x0)
+
+    lo, hi = lam / 100.0, lam * 100.0
+    slack = 1e-9 * abs(L_star)
+    assert all(L_star >= q(price) - slack for price in np.geomspace(lo, hi, 9))
+    _, L_grid = grid_maximize(q, lo, hi, n=60)
+    assert L_star == pytest.approx(L_grid, rel=1e-6)
+
+    point = solve_constrained(system, alpha, x0)
+    assert point.binding
+    assert point.achieved_volatility == pytest.approx(alpha, rel=1e-6)
+    assert point.efficiency_star == -point.L_star
