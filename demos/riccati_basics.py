@@ -1,7 +1,7 @@
 """Solve the reference three-coordinate market and inspect the regulator.
 
-Covers the core loop: build a market, check structural properties, run the
-Riccati iteration, and price the optimal policy in closed form.
+Covers the core loop: build a market, check structural properties, solve the
+Riccati equation, and price the optimal policy in closed form.
 """
 import numpy as np
 
@@ -40,7 +40,7 @@ print(f"controllable: {ctrl.controllable} (rank {ctrl.rank})")
 print(f"observable:   {obs.observable} (rank {obs.rank})")
 
 sol = solve_riccati(system)
-print(f"\nRiccati converged in {sol.iterations} iterations, residual {sol.residual:.2e}")
+print(f"\nRiccati converged in {sol.iterations} Newton steps, residual {sol.residual:.2e}")
 print("K =")
 print(sol.K)
 print("gain =", sol.gain.gain)
@@ -58,4 +58,4 @@ scalar = LqrSystem(A=[[1.1]], b=[1.0], noise=NoiseSpec.none(1), Q=[[1.0]], r=1.0
 k = solve_riccati(scalar).K[0, 0]
 a, q, r, g = 1.1, 1.0, 1.0, 0.9
 root = max(np.roots([g, r - g * q - g * a * a * r, -q * r]))
-print(f"\nscalar check: iterated k = {k:.12f}, quadratic root = {root:.12f}")
+print(f"\nscalar check: solved k = {k:.12f}, quadratic root = {root:.12f}")

@@ -1,11 +1,12 @@
 """Discounted LQR toolkit for volatility and efficiency analysis.
 
 The library studies scalar-input linear systems x' = Ax + bu + n under
-discounted quadratic cost.  It provides Riccati and Lyapunov fixed-point
-solvers, closed-form cost/volatility/efficiency functionals, capacity
-regions for volatility-constrained control, a two-player market
-equilibrium solver, renewable-supply extensions, and a seeded Monte
-Carlo engine.  The ``lqmarket`` command line runs batch scenarios.
+discounted quadratic cost.  It provides Riccati (Newton-Hewer) and
+Lyapunov (one direct solve) solvers, closed-form cost/volatility/efficiency
+functionals, capacity regions for volatility-constrained control, a
+two-player market equilibrium solver, renewable-supply extensions, and
+a seeded Monte Carlo engine.  The ``lqmarket`` command line runs batch
+scenarios.
 """
 from importlib.metadata import PackageNotFoundError, version
 

@@ -94,7 +94,7 @@ def maximize_dual(system: LqrSystem, alpha: float, x0, tol: float = CAPACITY_TOL
 
     def excess(s: float) -> float:
         gain = solve_riccati_lambda(system, math.exp(s), tol=tol).gain
-        return policy_volatility(system, gain, x0, tol=tol) - alpha
+        return policy_volatility(system, gain, x0) - alpha
 
     lam_star = LAMBDA_FLOOR
     if excess(math.log(lam_star)) > 0.0:
@@ -119,7 +119,7 @@ def solve_constrained(
     """Best efficiency under a volatility budget, with its dual price."""
     lam_star, L_star = maximize_dual(system, alpha, x0, tol=tol)
     sol = solve_riccati_lambda(system, lam_star, tol=tol)
-    report = evaluate_policy(system, sol.gain, x0, tol=tol)
+    report = evaluate_policy(system, sol.gain, x0)
     return CapacityPoint(
         alpha=float(alpha),
         lambda_star=float(lam_star),

@@ -19,8 +19,12 @@ class NumericalError(LqMarketError):
 
 
 class SolverDivergenceError(NumericalError):
-    """A fixed-point iteration exhausted its iteration budget.
+    """An iterative solve ran out of steps or produced a non-finite value.
 
+    Raised when the Riccati solve's Newton-Hewer steps (or the
+    value-iteration steps that find its first stabilizing gain) or the
+    equilibrium iteration exhaust their budget, and when any solve,
+    including a direct Lyapunov solve, yields a non-finite result.
     Carries the last iterate and residual so callers can inspect how far
     the solve got before giving up.
     """

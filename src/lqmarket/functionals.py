@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigError
 from .model import LinearPolicy, LqrSystem
 from .riccati import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     RiccatiSolution,
     closed_loop,
@@ -73,45 +72,28 @@ def optimal_cost(
     )
 
 
-def policy_volatility(
-    system: LqrSystem,
-    policy: LinearPolicy,
-    x0,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
+def policy_volatility(system: LqrSystem, policy: LinearPolicy, x0) -> float:
     """Discounted control energy of a fixed policy: one solve with C = g g'."""
     g = policy.gain
     w_vol = solve_discounted_lyapunov(
-        closed_loop(system.A, system.b, g), np.outer(g, g), system.gamma,
-        tol=tol, max_iter=max_iter,
+        closed_loop(system.A, system.b, g), np.outer(g, g), system.gamma
     )
     return discounted_quadratic_value(
         w_vol.S, x0, system.gamma, system.noise.covariance
     )
 
 
-def evaluate_policy(
-    system: LqrSystem,
-    policy: LinearPolicy,
-    x0,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> FunctionalReport:
+def evaluate_policy(system: LqrSystem, policy: LinearPolicy, x0) -> FunctionalReport:
     """Closed-form cost, volatility, and efficiency of a fixed policy."""
     g = policy.gain
     F = closed_loop(system.A, system.b, g)
     cov = system.noise.covariance
     gg = np.outer(g, g)
-    w_cost = solve_discounted_lyapunov(
-        F, system.Q + system.r * gg, system.gamma, tol=tol, max_iter=max_iter
-    )
-    w_eff = solve_discounted_lyapunov(
-        F, system.Q, system.gamma, tol=tol, max_iter=max_iter
-    )
+    w_cost = solve_discounted_lyapunov(F, system.Q + system.r * gg, system.gamma)
+    w_eff = solve_discounted_lyapunov(F, system.Q, system.gamma)
     return FunctionalReport(
         cost=discounted_quadratic_value(w_cost.S, x0, system.gamma, cov),
-        volatility=policy_volatility(system, policy, x0, tol=tol, max_iter=max_iter),
+        volatility=policy_volatility(system, policy, x0),
         efficiency=-discounted_quadratic_value(w_eff.S, x0, system.gamma, cov),
         x0=np.asarray(x0, dtype=float),
         method="closed_form",
@@ -204,7 +186,7 @@ def concavity_scan(
         if which == "optimal_cost":
             values[i] = optimal_cost(sys_r, x0, solution=sol)
         else:
-            sp = solve_state_penalizing(sys_r, sol.gain, tol=tol)
+            sp = solve_state_penalizing(sys_r, sol.gain)
             values[i] = discounted_quadratic_value(
                 sp.S, x0, system.gamma, system.noise.covariance
             )

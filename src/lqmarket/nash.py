@@ -326,15 +326,12 @@ def solve_nash(
     dim = game.dim
 
     p = [np.zeros(dim), np.zeros(dim)]
-    K = [None, None]
-    lyap_tol = min(tol, 1e-12)
     for iteration in range(1, max_iter + 1):
         F = A - np.outer(b1, p[0]) - np.outer(b2, p[1])
-        for i, Qi in enumerate((Q1, Q2)):
-            C = r * np.outer(p[i], p[i]) + Qi
-            K[i] = solve_discounted_lyapunov(
-                F, C, gamma, tol=lyap_tol, w0=K[i]
-            ).S
+        K = [
+            solve_discounted_lyapunov(F, r * np.outer(p[i], p[i]) + Qi, gamma).S
+            for i, Qi in enumerate((Q1, Q2))
+        ]
         k1b = K[0] @ b1, K[0] @ b2
         k2b = K[1] @ b1, K[1] @ b2
         M = np.array(
@@ -376,7 +373,7 @@ def solve_nash(
     eval_residuals = []
     for i, Qi in enumerate((Q1, Q2)):
         C = r * np.outer(p[i], p[i]) + Qi
-        Ki = solve_discounted_lyapunov(F, C, gamma, tol=lyap_tol, w0=K[i]).S
+        Ki = solve_discounted_lyapunov(F, C, gamma).S
         K_final.append(Ki)
         eval_residuals.append(
             float(np.linalg.norm(C + gamma * (F.T @ Ki @ F) - Ki, "fro"))
@@ -427,7 +424,7 @@ def nash_social_cost(game: AggregateGame, eq: NashEquilibrium, x0) -> float:
     x0 = game.lift_x0(x0)
     total = 0.0
     for Qi in game.Q:
-        sol = solve_discounted_lyapunov(eq.F, Qi, game.gamma, tol=1e-12)
+        sol = solve_discounted_lyapunov(eq.F, Qi, game.gamma)
         total += discounted_quadratic_value(
             sol.S, x0, game.gamma, game.noise.covariance
         )

@@ -1,9 +1,11 @@
-"""Fixed-point solvers for discounted Riccati and Lyapunov equations.
+"""Direct solvers for discounted Riccati and Lyapunov equations.
 
-The Riccati solve is plain value iteration on the quadratic weight: start
-at K = Q and apply the one-step update until the Frobenius change is
-below a relative tolerance.  Lyapunov solves iterate the corresponding
-linear recursion.  Both report iteration counts and a final residual.
+A discounted Lyapunov equation W = C + gamma F'WF is linear in W and is
+solved as one dense system in vec W.  The Riccati equation is solved by
+Newton's method in its policy-iteration form (Hewer 1971): evaluate the
+current gain by one such Lyapunov solve, switch to the gain that is
+optimal for the resulting weight, and repeat until the weight stops
+moving.  Both report their step counts and a final residual.
 """
 from __future__ import annotations
 
@@ -63,11 +65,33 @@ def closed_loop(A, b, gain) -> np.ndarray:
 
 def _diverged(what: str, last_iterate, residual, iterations: int):
     return SolverDivergenceError(
-        f"{what} iterate {iterations} is not finite (residual {residual:.6e})",
+        f"{what} step {iterations} is not finite (residual {residual:.6e})",
         last_iterate=last_iterate,
         residual=float(residual),
         iterations=iterations,
     )
+
+
+def _lyap(F, C, gamma) -> np.ndarray:
+    """W = C + gamma F'WF as one dense solve in vec W.
+
+    Row-major vec: vec(F'WF) = (F' kron F') vec W, so the equation is
+    (I - gamma F' kron F') vec W = vec C.  The Kronecker matrix is built by
+    broadcasting, which is far cheaper than np.kron at this size.
+    """
+    n = F.shape[0]
+    Ft = F.T
+    kron = (Ft[:, None, :, None] * Ft[None, :, None, :]).reshape(n * n, n * n)
+    W = np.linalg.solve(np.eye(n * n) - gamma * kron, C.reshape(-1))
+    return symmetrize(W.reshape(n, n))
+
+
+def _contracts(F, gamma) -> bool:
+    """gamma * rho(F)^2 < 1; a non-finite F has no spectrum and fails."""
+    if not np.all(np.isfinite(F)):
+        return False
+    rho = spectral_radius(F)
+    return gamma * rho * rho < 1.0
 
 
 def solve_riccati(
@@ -75,12 +99,20 @@ def solve_riccati(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> RiccatiSolution:
-    """Solve the discounted Riccati equation by value iteration from K = Q.
+    """Solve the discounted Riccati equation by Newton-Hewer policy iteration.
 
-    Stops when ||K_next - K||_F <= tol * (1 + ||K||_F).  An uncontrollable
-    system is flagged in ``warnings`` and solved as long as it passes the
-    discounted stabilizability test; otherwise InstabilityError is raised.
-    A non-finite iterate raises SolverDivergenceError at once.
+    Each step evaluates the current gain g by one Lyapunov solve,
+    K = Q + r g g' + gamma F_g' K F_g, and takes the gain optimal for K.
+    The first gain must stabilize the discounted loop: g = 0 when
+    gamma rho(A)^2 < 1, otherwise the gain of the first value-iteration
+    step from K = Q that does.  Stops when ||K_next - K||_F <= tol * (1 +
+    ||K||_F); ``iterations`` counts the Newton steps, at most max_iter.
+    The final gain must satisfy gamma rho(F)^2 < 1.
+
+    An uncontrollable system is flagged in ``warnings`` and solved as long
+    as it passes the discounted stabilizability test; otherwise
+    InstabilityError is raised.  A non-finite iterate raises
+    SolverDivergenceError at once.
     """
     A, b, Q, r, gamma = system.A, system.b, system.Q, system.r, system.gamma
     warnings = []
@@ -103,32 +135,64 @@ def solve_riccati(
         warnings.append("cost does not observe every coordinate")
 
     K = Q.copy()
+    gain = np.zeros(system.d)
     # overflow turns into inf/nan, which the finite checks raise as errors
     with np.errstate(over="ignore", invalid="ignore"):
+        if not _contracts(A, gamma):
+            for step in range(1, max_iter + 1):
+                K_next = riccati_step(K, A, b, Q, r, gamma)
+                delta = np.linalg.norm(K_next - K, "fro")
+                if not math.isfinite(delta):
+                    raise _diverged("Riccati value-iteration", K, delta, step)
+                converged = delta <= tol * (1.0 + np.linalg.norm(K, "fro"))
+                K = K_next
+                gain = optimal_gain(K, A, b, r, gamma)
+                if _contracts(closed_loop(A, b, gain), gamma):
+                    break
+                if converged:
+                    raise InstabilityError(
+                        "value iteration converged to a gain that does not "
+                        "stabilize the discounted loop; the cost does not "
+                        "detect an undamped mode"
+                    )
+            else:
+                raise SolverDivergenceError(
+                    f"value iteration found no stabilizing gain in {max_iter} "
+                    f"steps (last change {delta:.6e})",
+                    last_iterate=K,
+                    residual=float(delta),
+                    iterations=max_iter,
+                )
         for iteration in range(1, max_iter + 1):
-            K_next = riccati_step(K, A, b, Q, r, gamma)
+            K_next = _lyap(
+                closed_loop(A, b, gain), Q + r * np.outer(gain, gain), gamma
+            )
             delta = np.linalg.norm(K_next - K, "fro")
             if not math.isfinite(delta):
                 raise _diverged("Riccati", K, delta, iteration)
             bound = tol * (1.0 + np.linalg.norm(K, "fro"))
             K = K_next
+            gain = optimal_gain(K, A, b, r, gamma)
             if delta <= bound:
                 residual = float(
                     np.linalg.norm(riccati_step(K, A, b, Q, r, gamma) - K, "fro")
                 )
-                if not (math.isfinite(bound) and math.isfinite(residual)):
+                if not math.isfinite(residual):
                     raise _diverged("Riccati", K, residual, iteration)
-                gain = LinearPolicy(optimal_gain(K, A, b, r, gamma))
+                if not _contracts(closed_loop(A, b, gain), gamma):
+                    raise InstabilityError(
+                        "Riccati gain does not satisfy gamma rho(F)^2 < 1"
+                    )
                 return RiccatiSolution(
                     K=K,
-                    gain=gain,
+                    gain=LinearPolicy(gain),
                     iterations=iteration,
                     residual=residual,
                     warnings=tuple(warnings),
                 )
     residual = float(np.linalg.norm(riccati_step(K, A, b, Q, r, gamma) - K, "fro"))
     raise SolverDivergenceError(
-        f"Riccati iteration did not converge in {max_iter} iterations "
+        f"Newton-Hewer iteration did not converge in {max_iter} steps "
         f"(residual {residual:.6e})",
         last_iterate=K,
         residual=residual,
@@ -149,18 +213,13 @@ def solve_riccati_lambda(
     return solve_riccati(system.with_r(lam), tol=tol, max_iter=max_iter)
 
 
-def solve_discounted_lyapunov(
-    F,
-    C,
-    gamma: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    w0=None,
-) -> LyapunovSolution:
-    """Solve W = C + gamma F'WF by fixed-point iteration.
+def solve_discounted_lyapunov(F, C, gamma: float) -> LyapunovSolution:
+    """Solve W = C + gamma F'WF by one dense solve in vec W.
 
     Requires the discounted contraction gamma * rho(F)^2 < 1; otherwise
-    the series diverges and InstabilityError is raised.
+    the sum diverges and InstabilityError is raised.  ``residual`` is
+    ||C + gamma F'WF - W||_F of the returned W; a non-finite one raises
+    SolverDivergenceError.
     """
     F = np.asarray(F, dtype=float)
     C = symmetrize(np.asarray(C, dtype=float))
@@ -170,37 +229,17 @@ def solve_discounted_lyapunov(
         raise InstabilityError(
             f"gamma * rho(F)^2 = {contraction:.6f} >= 1; discounted sum diverges"
         )
-    W = np.zeros_like(C) if w0 is None else symmetrize(np.asarray(w0, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        for iteration in range(1, max_iter + 1):
-            W_next = symmetrize(C + gamma * (F.T @ W @ F))
-            delta = np.linalg.norm(W_next - W, "fro")
-            if not math.isfinite(delta):
-                raise _diverged("Lyapunov", W, delta, iteration)
-            bound = tol * (1.0 + np.linalg.norm(W, "fro"))
-            W = W_next
-            if delta <= bound:
-                residual = float(
-                    np.linalg.norm(C + gamma * (F.T @ W @ F) - W, "fro")
-                )
-                if not (math.isfinite(bound) and math.isfinite(residual)):
-                    raise _diverged("Lyapunov", W, residual, iteration)
-                return LyapunovSolution(S=W, iterations=iteration, residual=residual)
-    residual = float(np.linalg.norm(C + gamma * (F.T @ W @ F) - W, "fro"))
-    raise SolverDivergenceError(
-        f"Lyapunov iteration did not converge in {max_iter} iterations "
-        f"(residual {residual:.6e})",
-        last_iterate=W,
-        residual=residual,
-        iterations=max_iter,
-    )
+        W = _lyap(F, C, gamma)
+        residual = float(np.linalg.norm(C + gamma * (F.T @ W @ F) - W, "fro"))
+    if not math.isfinite(residual):
+        raise _diverged("Lyapunov", W, residual, 1)
+    return LyapunovSolution(S=W, iterations=1, residual=residual)
 
 
 def solve_state_penalizing(
     system: LqrSystem,
     policy: LinearPolicy,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> LyapunovSolution:
     """Accumulated state cost of a fixed policy: S = Q + gamma F'SF.
 
@@ -219,9 +258,7 @@ def solve_state_penalizing(
         warnings = (
             f"rho(F) = {rho:.6f} >= 1; discounted sums still converge",
         )
-    sol = solve_discounted_lyapunov(
-        F, system.Q, system.gamma, tol=tol, max_iter=max_iter
-    )
+    sol = solve_discounted_lyapunov(F, system.Q, system.gamma)
     return LyapunovSolution(
         S=sol.S, iterations=sol.iterations, residual=sol.residual, warnings=warnings
     )

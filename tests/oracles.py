@@ -5,7 +5,7 @@ Everything here is coded against raw arrays with a different algorithm
 two is evidence rather than a tautology.
 """
 import numpy as np
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 
 def scalar_riccati_root(a, q, r, gamma):
@@ -42,18 +42,18 @@ def gain_from_weight(K, A, b, r, gamma):
     return -(gamma / denom) * (b @ K @ A)
 
 
-def kron_lyapunov(F, C, gamma):
-    """Solve W = C + gamma F' W F by one dense linear solve.
+def scipy_lyapunov(F, C, gamma):
+    """Solve W = C + gamma F' W F with scipy's discrete Lyapunov solver.
 
-    Row-major vec: vec(F' W F) = (F' kron F') vec(W), so the fixed point
-    is a single (d^2 x d^2) system, nothing iterative.
+    scipy solves a X a' - X + q = 0; a = sqrt(gamma) F' turns a X a' into
+    gamma F' X F term by term.  The bilinear method maps the equation to a
+    continuous one solved by Schur decomposition (Bartels-Stewart); scipy's
+    default for small matrices is the Kronecker solve the package uses.
     """
     F = np.asarray(F, dtype=float)
-    C = np.asarray(C, dtype=float)
-    d = F.shape[0]
-    lhs = np.eye(d * d) - gamma * np.kron(F.T, F.T)
-    W = np.linalg.solve(lhs, C.reshape(-1)).reshape(d, d)
-    return 0.5 * (W + W.T)
+    return solve_discrete_lyapunov(
+        np.sqrt(gamma) * F.T, np.asarray(C, dtype=float), method="bilinear"
+    )
 
 
 def quadratic_value(M, x0, gamma, cov):

@@ -12,6 +12,7 @@ from lqmarket import (
     LqrSystem,
     NoiseSpec,
     UnboundedDualError,
+    closed_loop,
     default_alpha_grid,
     evaluate_policy,
     maximize_dual,
@@ -26,7 +27,7 @@ from lqmarket.capacity import LAMBDA_FLOOR
 from lqmarket.functionals import policy_volatility
 from lqmarket.util import chord_excess
 from conftest import make_ref_market
-from oracles import grid_maximize
+from oracles import grid_maximize, quadratic_value, scipy_lyapunov
 
 ALPHA_REF = 27.0
 
@@ -164,6 +165,22 @@ def test_budget_met_exactly_at_a_bracket_decade():
         alpha = policy_volatility(system, solve_riccati_lambda(system, lam).gain, x0)
         lam_star, _ = maximize_dual(system, alpha, x0)
         assert lam_star == pytest.approx(lam, rel=1e-6)
+
+
+@pytest.mark.parametrize("fraction", [1e-8, 1e-6])
+def test_tight_budget_is_met_by_the_policy(x0_ref, fraction):
+    # at lam* ~ 1e7 the volatility weight is ~ 1/lam^2; an absolute stop
+    # rule would report the budget met while the policy overshoots it
+    system = make_ref_market(gamma=0.9).system
+    v_unc = evaluate_policy(system, solve_riccati(system).gain, x0_ref).volatility
+    alpha = fraction * v_unc
+    point = solve_constrained(system, alpha, x0_ref)
+    g = point.policy.gain
+    W = scipy_lyapunov(
+        closed_loop(system.A, system.b, g), np.outer(g, g), system.gamma
+    )
+    exact = quadratic_value(W, x0_ref, system.gamma, system.noise.covariance)
+    assert exact == pytest.approx(alpha, rel=1e-6)
 
 
 def test_default_grid_brackets_unconstrained_volatility(ref, x0_ref):

@@ -16,7 +16,7 @@ from lqmarket import (
     solve_riccati,
 )
 from conftest import make_ref_market
-from oracles import bellman_iteration_cost, kron_lyapunov, quadratic_value
+from oracles import bellman_iteration_cost, quadratic_value, scipy_lyapunov
 
 
 @pytest.fixture(scope="module")
@@ -35,12 +35,12 @@ def test_evaluate_policy_matches_dense_lyapunov(ref, x0_ref):
     cov = system.noise.covariance
     gg = np.outer(g, g)
     cost = quadratic_value(
-        kron_lyapunov(F, system.Q + system.r * gg, system.gamma),
+        scipy_lyapunov(F, system.Q + system.r * gg, system.gamma),
         x0_ref, system.gamma, cov,
     )
-    vol = quadratic_value(kron_lyapunov(F, gg, system.gamma), x0_ref,
+    vol = quadratic_value(scipy_lyapunov(F, gg, system.gamma), x0_ref,
                           system.gamma, cov)
-    eff = -quadratic_value(kron_lyapunov(F, system.Q, system.gamma), x0_ref,
+    eff = -quadratic_value(scipy_lyapunov(F, system.Q, system.gamma), x0_ref,
                            system.gamma, cov)
     np.testing.assert_allclose(report.cost, cost, rtol=1e-9)
     np.testing.assert_allclose(report.volatility, vol, rtol=1e-9)

@@ -18,7 +18,7 @@ from lqmarket import (
     solve_riccati,
 )
 from conftest import GAME_X0, make_two_player_market
-from oracles import kron_lyapunov, quadratic_value
+from oracles import quadratic_value, scipy_lyapunov
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +270,7 @@ def test_player_control_energy_matches_closed_form(eq, game_x0):
     )
     assert batch.n_excluded == 0
     for i in range(2):
-        W = kron_lyapunov(eq.F, np.outer(eq.p[i], eq.p[i]), game.gamma)
+        W = scipy_lyapunov(eq.F, np.outer(eq.p[i], eq.p[i]), game.gamma)
         exact = quadratic_value(W, np.asarray(game_x0), game.gamma,
                                 game.noise.covariance)
         est = batch.player_volatility[i]

@@ -20,7 +20,7 @@ from lqmarket import (
     solve_state_penalizing,
 )
 from conftest import make_ref_market
-from oracles import dare_weight, gain_from_weight, kron_lyapunov, scalar_riccati_root
+from oracles import dare_weight, gain_from_weight, scalar_riccati_root, scipy_lyapunov
 
 
 def scalar_system(a=1.1, q=1.0, r=1.0, gamma=0.9):
@@ -86,7 +86,7 @@ def test_lyapunov_matches_dense_solve(ref_system):
     F = closed_loop(ref_system.A, ref_system.b, sol.gain.gain)
     C = ref_system.Q
     got = solve_discounted_lyapunov(F, C, ref_system.gamma)
-    want = kron_lyapunov(F, C, ref_system.gamma)
+    want = scipy_lyapunov(F, C, ref_system.gamma)
     np.testing.assert_allclose(got.S, want, rtol=1e-9, atol=1e-11)
     assert got.residual <= 1e-8
 
@@ -97,18 +97,49 @@ def test_lyapunov_rejects_divergent_sum():
         solve_discounted_lyapunov(F, np.array([[1.0]]), 0.9)
 
 
-def test_lyapunov_iteration_budget():
-    F = np.array([[0.999]])
-    with pytest.raises(SolverDivergenceError) as err:
-        solve_discounted_lyapunov(F, np.array([[1.0]]), 0.999, max_iter=3)
-    assert err.value.iterations == 3
-    assert err.value.last_iterate is not None
-    assert err.value.residual > 0
+def test_lyapunov_solve_is_certified(ref_system):
+    # one direct solve leaves a residual at rounding level relative to C
+    sol = solve_riccati(ref_system)
+    F = closed_loop(ref_system.A, ref_system.b, sol.gain.gain)
+    C = ref_system.Q
+    got = solve_discounted_lyapunov(F, C, ref_system.gamma)
+    assert got.iterations == 1
+    assert got.residual <= 1e-12 * (1.0 + np.linalg.norm(C, "fro"))
+    # gamma rho(F)^2 = 0.9 * 1.06^2 > 1 even though one mode is damped
+    F_bad = np.array([[0.5, 2.0], [0.0, 1.06]])
+    with pytest.raises(InstabilityError):
+        solve_discounted_lyapunov(F_bad, np.eye(2), 0.9)
 
 
 def test_riccati_iteration_budget():
-    with pytest.raises(SolverDivergenceError):
+    # max_iter caps the Newton steps; this system needs four
+    with pytest.raises(SolverDivergenceError) as err:
         solve_riccati(scalar_system(), max_iter=2)
+    assert err.value.iterations == 2
+    assert solve_riccati(scalar_system(), max_iter=4).iterations == 4
+
+
+def test_undamped_open_loop_starts_from_value_iteration():
+    # gamma rho(A)^2 = 0.9 * 1.1^2 > 1, so the zero gain cannot start Newton
+    A = np.array([[1.1, 0.3], [0.0, 0.95]])
+    b = np.array([1.0, 0.5])
+    for lam in (1e-3, 1.0, 1e3):
+        system = LqrSystem(A=A, b=b, noise=NoiseSpec.none(2), Q=np.eye(2),
+                           r=lam, gamma=0.9)
+        sol = solve_riccati(system)
+        K_oracle = dare_weight(A, b, np.eye(2), lam, 0.9)
+        np.testing.assert_allclose(sol.K, K_oracle, rtol=1e-12)
+
+
+def test_undetected_undamped_mode_is_rejected():
+    # the cost never sees the first mode, so value iteration settles on a
+    # gain that leaves it undamped: gamma * 1.2^2 > 1
+    system = LqrSystem(
+        A=np.diag([1.2, 0.5]), b=np.array([1.0, 1.0]), noise=NoiseSpec.none(2),
+        Q=np.diag([0.0, 1.0]), r=1.0, gamma=0.9,
+    )
+    with pytest.raises(InstabilityError):
+        solve_riccati(system)
 
 
 def test_state_penalizing_tolerates_unstable_but_contracting_loop():
